@@ -76,7 +76,6 @@ from .journal import (
     RecoveryImage,
     RecoveryReport,
     reconcile_containers,
-    recover_engine,
     recover_into,
     replay_journal,
     validate_placements,
@@ -146,7 +145,6 @@ __all__ = [
     "RecoveryReport",
     "StreamStats",
     "reconcile_containers",
-    "recover_engine",
     "recover_into",
     "replay_journal",
     "validate_placements",

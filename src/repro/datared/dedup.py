@@ -5,6 +5,12 @@ performs the complete write flow — chunk, fingerprint, Hash-PBN lookup,
 compress unique chunks, pack into containers, update both mapping tables
 — and the read flow — LBA→PBN→PBA lookup, container read, decompress.
 
+Every write is a batch (a single :meth:`DedupEngine.write` is a batch of
+one) and every batch runs the same three phases: chunk + fingerprint,
+compress the chunks known unique at batch start, then one serial walk in
+submission order that resolves, remaps duplicates and packs/publishes
+uniques (see :meth:`DedupEngine.write_many`).
+
 The engine is *policy-free*: it does not know whether hashing ran on a
 NIC or a host core, or whether a bucket came from DRAM or a table SSD.
 Every write/read returns a detailed report of what happened (per-chunk
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -32,7 +39,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -44,17 +50,13 @@ from ..sync import DisciplinedLock
 from . import codecs as _codecs
 from .chunking import BLOCK_SIZE, Chunk, FixedChunker
 from .compression import CompressedChunk, Compressor, ZlibCompressor
-from .container import ContainerStore, Placement
+from .container import ContainerStore
 from .hash_pbn import HashPbnTable
 from .hashing import SHA256, Fingerprinter
 from .lba_map import LbaMap, PbnAllocator, PbnMap, PbnRecord
 
 if TYPE_CHECKING:
     from .journal import MetadataJournal, RecoveryReport
-
-#: Distinguishes "LBA never consulted" from "LBA unmapped" in the
-#: batch planner's shadow map.
-_UNSET: Any = object()
 
 #: Multi-chunk reads smaller than this decompress inline even on a
 #: parallel pool: ``zlib.decompress`` of a 4-KB chunk is only a few
@@ -75,6 +77,9 @@ __all__ = [
     "StageTimer",
     "READ_FANOUT_MIN_CHUNKS",
 ]
+
+#: Payload type accepted by the write entry points.
+_Payload = Union[bytes, bytearray, memoryview]
 
 
 @dataclass(frozen=True)
@@ -106,16 +111,9 @@ class WriteOptions:
 _NO_OPTIONS = WriteOptions()
 
 
-@dataclass(frozen=True)
-class EngineStats:
-    """Point-in-time, lock-consistent snapshot of one engine's ledgers.
-
-    The typed return of :meth:`DedupEngine.stats_snapshot` — all raw
-    fields are integral (R004), all ratios are derived properties, and
-    the whole object is taken under the engine lock so the fields are
-    mutually consistent (reading ``engine.stats`` plus the loose
-    counters one by one is not).
-    """
+class _ReductionRatios:
+    """The ratios derived from the byte and chunk ledgers, shared by
+    :class:`EngineStats` and :class:`ReductionStats`."""
 
     logical_bytes: int
     unique_logical_bytes: int
@@ -123,21 +121,6 @@ class EngineStats:
     reclaimed_stored_bytes: int
     duplicate_chunks: int
     unique_chunks: int
-    read_cache_hits: int
-    read_cache_misses: int
-    gc_containers_reclaimed: int
-    gc_bytes_moved: int
-    plan_fallback_compressions: int
-    plan_wasted_compressions: int
-    containers_sealed: int
-    #: Hash-PBN index counters (PR 9): negative-filter outcomes, probes
-    #: the batched resolve saved via intra-batch digest dedupe, and
-    #: total buckets touched.  Defaults keep older snapshot call sites
-    #: (and merged sharded snapshots built field-by-field) valid.
-    index_filter_hits: int = 0
-    index_filter_misses: int = 0
-    index_saved_lookups: int = 0
-    index_probes: int = 0
 
     @property
     def live_stored_bytes(self) -> int:
@@ -164,16 +147,96 @@ class EngineStats:
         return self.logical_bytes / self.stored_bytes
 
 
+@dataclass(frozen=True)
+class EngineStats(_ReductionRatios):
+    """Point-in-time, lock-consistent snapshot of one engine's ledgers.
+
+    The typed return of :meth:`DedupEngine.stats_snapshot` — all raw
+    fields are integral (R004), all ratios are derived properties, and
+    the whole object is taken under the engine lock so the fields are
+    mutually consistent (reading ``engine.stats`` plus the loose
+    counters one by one is not).
+    """
+
+    logical_bytes: int
+    unique_logical_bytes: int
+    stored_bytes: int
+    reclaimed_stored_bytes: int
+    duplicate_chunks: int
+    unique_chunks: int
+    read_cache_hits: int
+    read_cache_misses: int
+    gc_containers_reclaimed: int
+    gc_bytes_moved: int
+    containers_sealed: int
+    #: Hash-PBN index counters (PR 9): negative-filter outcomes, probes
+    #: the batched resolve saved via intra-batch digest dedupe, and
+    #: total buckets touched.  Defaults keep older snapshot call sites
+    #: (and merged sharded snapshots built field-by-field) valid.
+    index_filter_hits: int = 0
+    index_filter_misses: int = 0
+    index_saved_lookups: int = 0
+    index_probes: int = 0
+
+
 class StageTimer(Protocol):
     """Per-stage instrumentation hook (see :mod:`repro.perf`).
 
-    The engine calls ``stage(name)`` around each hot-path stage when a
-    timer is installed on :attr:`DedupEngine.stage_clock`; with the
-    default ``None`` the hot path pays a single identity check per
-    stage.
+    The engine calls ``stage(name)`` once per batch around each write
+    phase (``chunk``, ``hash``, ``lookup``, ``compress``, ``publish``)
+    and once per read (``read``), on the timer installed on
+    :attr:`DedupEngine.stage_clock`.
     """
 
     def stage(self, name: str) -> ContextManager[None]: ...
+
+
+class _NoStages:
+    """The timer of an engine with none installed: every stage is one
+    shared no-op context, so the write and read paths never branch on
+    whether a timer is present."""
+
+    _SPAN = nullcontext()
+
+    def stage(self, name: str) -> ContextManager[None]:
+        return self._SPAN
+
+
+_NO_STAGES: StageTimer = _NoStages()
+
+
+def _split_and_fingerprint(
+    chunker: FixedChunker,
+    fingerprinter: Fingerprinter,
+    pool: StagePool,
+    clock: StageTimer,
+    requests: Sequence[Tuple[int, _Payload]],
+    digests: Optional[Sequence[bytes]],
+) -> Tuple[List[Tuple[int, Chunk]], List[bytes]]:
+    """Phase 1 of every write batch: ``(request index, chunk)`` pairs in
+    submission order, plus one fingerprint per chunk.
+
+    Chunks are zero-copy views of the request payloads.  Fingerprints
+    are computed on ``pool`` unless the caller passed ``digests`` (a
+    NIC that hashed on ingest, or a router that already hashed to pick
+    a shard), whose length must then match the chunk count exactly.
+    """
+    flat: List[Tuple[int, Chunk]] = []
+    with clock.stage("chunk"):
+        for index, (lba, payload) in enumerate(requests):
+            for chunk in chunker.split(lba, payload):
+                flat.append((index, chunk))
+    if not flat:
+        return flat, []
+    if digests is None:
+        with clock.stage("hash"):
+            return flat, fingerprinter.digest_many(
+                [chunk.data for _, chunk in flat], pool=pool
+            )
+    digests = list(digests)
+    if len(digests) != len(flat):
+        raise ValueError(f"got {len(digests)} digests for {len(flat)} chunks")
+    return flat, digests
 
 
 class MetadataObserver(Protocol):
@@ -298,7 +361,7 @@ class ReadReport:
 
 
 @dataclass
-class ReductionStats:
+class ReductionStats(_ReductionRatios):
     """Cumulative data-reduction effectiveness of an engine.
 
     ``stored_bytes`` is cumulative (never decremented);
@@ -312,30 +375,6 @@ class ReductionStats:
     reclaimed_stored_bytes: int = 0
     duplicate_chunks: int = 0
     unique_chunks: int = 0
-
-    @property
-    def live_stored_bytes(self) -> int:
-        return self.stored_bytes - self.reclaimed_stored_bytes
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of written chunks removed by deduplication."""
-        total = self.duplicate_chunks + self.unique_chunks
-        return self.duplicate_chunks / total if total else 0.0
-
-    @property
-    def compression_ratio(self) -> float:
-        """Stored fraction of unique bytes (0.5 = halved)."""
-        if self.unique_logical_bytes == 0:
-            return 1.0
-        return self.stored_bytes / self.unique_logical_bytes
-
-    @property
-    def reduction_factor(self) -> float:
-        """Logical bytes written per stored byte (higher is better)."""
-        if self.stored_bytes == 0:
-            return float("inf") if self.logical_bytes else 1.0
-        return self.logical_bytes / self.stored_bytes
 
 
 class DedupEngine:
@@ -444,19 +483,12 @@ class DedupEngine:
         )  # guarded-by: self.lock
         self.read_cache_hits = 0  # guarded-by: self.lock
         self.read_cache_misses = 0  # guarded-by: self.lock
-        #: Optional per-stage instrumentation (installed by repro.perf);
-        #: ``None`` keeps the hot path uninstrumented.
+        #: Optional per-stage instrumentation (installed by repro.perf
+        #: and the system layer's trace clock); ``None`` times nothing.
         self.stage_clock: Optional[StageTimer] = None
         #: Garbage-collection work counters (see :meth:`collect_garbage`).
         self.gc_containers_reclaimed = 0  # guarded-by: self.lock
         self.gc_bytes_moved = 0  # guarded-by: self.lock
-        #: Batch-planner accuracy counters: ``plan_fallback_compressions``
-        #: counts uniques the planner missed (compressed inline on the
-        #: serial stage), ``plan_wasted_compressions`` counts duplicates
-        #: it compressed needlessly.  Both stay 0 unless the planner's
-        #: shadow walk diverges from execution — a correctness canary.
-        self.plan_fallback_compressions = 0  # guarded-by: self.lock
-        self.plan_wasted_compressions = 0  # guarded-by: self.lock
         #: Whether write_many resolves digests via table.lookup_many
         #: (auto: only over a private in-memory bucket store).
         self.batched_resolve = (
@@ -493,21 +525,6 @@ class DedupEngine:
             report = self._watch_report(report, name="write-report")
         return report
 
-    def _active_clock(self) -> Optional[StageTimer]:
-        """The stage clock, or ``None`` when it reports itself inactive.
-
-        The hook behind the zero-overhead tracing contract: an installed
-        :class:`~repro.obs.trace.TracedStages` exposes ``active=False``
-        while tracing is disabled, and the hot paths then take the exact
-        clock-less fast path (no context managers, no batch shadow-plan)
-        they would with no clock at all.  Clocks without an ``active``
-        attribute (``repro.perf``'s ``StageClock``) are always live.
-        """
-        clock = self.stage_clock
-        if clock is None or not getattr(clock, "active", True):
-            return None
-        return clock
-
     def stats_snapshot(self) -> EngineStats:
         """A lock-consistent :class:`EngineStats` of every ledger."""
         with self.lock:
@@ -523,8 +540,6 @@ class DedupEngine:
                 read_cache_misses=self.read_cache_misses,
                 gc_containers_reclaimed=self.gc_containers_reclaimed,
                 gc_bytes_moved=self.gc_bytes_moved,
-                plan_fallback_compressions=self.plan_fallback_compressions,
-                plan_wasted_compressions=self.plan_wasted_compressions,
                 containers_sealed=self.containers.sealed_count,
                 index_filter_hits=self.table.filter_hits,
                 index_filter_misses=self.table.filter_misses,
@@ -558,12 +573,6 @@ class DedupEngine:
             snap.gc_containers_reclaimed
         )
         registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
-        registry.gauge("engine.plan.fallback_compressions").set(
-            snap.plan_fallback_compressions
-        )
-        registry.gauge("engine.plan.wasted_compressions").set(
-            snap.plan_wasted_compressions
-        )
         registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
         registry.gauge("index.filter.hits").set(snap.index_filter_hits)
         registry.gauge("index.filter.misses").set(snap.index_filter_misses)
@@ -582,70 +591,53 @@ class DedupEngine:
     def write(
         self,
         lba: int,
-        payload: Union[bytes, bytearray, memoryview],
+        payload: _Payload,
         options: Optional[WriteOptions] = None,
     ) -> WriteReport:
         """Write ``payload`` at chunk-aligned ``lba``; dedupe + compress.
 
+        A batch of one: ``write_many([(lba, payload)], options)[0]``.
         Zero-copy: chunks are views of ``payload`` until the container
         boundary materializes them, all within this call (DESIGN.md
         §5.4) — the caller's buffer may be reused once it returns.
-
-        Per-call behaviour (precomputed digests, trailing flush) is
-        configured by ``options``; see :class:`WriteOptions`.
         """
-        if options is None:
-            options = _NO_OPTIONS
-        with self.lock:
-            if options.digests is not None:
-                report = self._write_many_locked(
-                    [(lba, payload)], list(options.digests)
-                )[0]
-            else:
-                report = self._new_report()
-                sealed_before = self.containers.sealed_count
-                for chunk in self.chunker.split(lba, payload):
-                    report.add(self._write_chunk(chunk, report))
-                report.containers_sealed = (
-                    self.containers.sealed_count - sealed_before
-                )
-            if options.flush:
-                self.containers.seal_open()
-            self._commit_locked()
-            return report
+        return self.write_many([(lba, payload)], options)[0]
 
     def write_many(
         self,
-        requests: Iterable[Tuple[int, Union[bytes, bytearray, memoryview]]],
+        requests: Iterable[Tuple[int, _Payload]],
         options: Optional[WriteOptions] = None,
     ) -> List[WriteReport]:
-        """Write a batch of ``(lba, payload)`` requests, stage-split.
+        """Write a batch of ``(lba, payload)`` requests in three phases.
 
         The batch runs the paper's offload topology in software (§5.2,
-        §5.4): fingerprinting fans out across the shared pool (the NIC
-        SHA-256 core), the Hash-PBN resolution walks serially (the one
-        order-dependent stage), compression of the chunks that will be
-        unique fans out (the FPGA DEFLATE engine), and the final
-        container-append/metadata-publish stage replays the exact serial
-        write path with the precomputed artifacts injected.  Results —
-        bytes, :class:`ReductionStats`, container placements, journal
-        event order — are identical to calling :meth:`write` per
-        request; with a serial pool the code path *is* the serial one.
+        §5.4), each phase under one stage span:
 
-        Per-call behaviour is configured by ``options``
-        (:class:`WriteOptions`): precomputed digests skip the hash
-        stage, ``flush`` seals the open container after the batch.
-        (The PR-5 deprecated ``digests=`` keyword has been removed.)
+        1. *chunk + fingerprint* — split every request into chunks and
+           hash them on the shared pool (the NIC SHA-256 core), unless
+           ``options.digests`` supplies the fingerprints.
+        2. *compress* — on the pool (the FPGA DEFLATE engine), compress
+           the first occurrence in the batch of every digest that has no
+           live PBN at batch start.  Each of those chunks is certainly
+           unique when the walk reaches it, so no compression is wasted.
+        3. *publish* — one serial walk in submission order resolves each
+           chunk against the Hash-PBN table (per chunk, or one batched
+           ``lookup_many`` timed as ``lookup`` plus the walk's own
+           mutations), remaps duplicates, and packs and publishes
+           uniques.  A unique phase 2 could not foresee — content whose
+           last reference an earlier chunk of this batch released — is
+           compressed inline.
+
+        Table, container and journal accesses all happen in the walk, so
+        their order is the same as for one request at a time.
+        ``options.flush`` seals the open container after the batch.
 
         Returns one :class:`WriteReport` per request, in order.
         """
         if options is None:
             options = _NO_OPTIONS
         with self.lock:
-            reports = self._write_many_locked(
-                requests,
-                list(options.digests) if options.digests is not None else None,
-            )
+            reports = self._write_many_locked(requests, options.digests)
             if options.flush:
                 self.containers.seal_open()
             self._commit_locked()
@@ -653,255 +645,99 @@ class DedupEngine:
 
     def _write_many_locked(  # repro-lint: holds self.lock, hot-path
         self,
-        requests: Iterable[Tuple[int, Union[bytes, bytearray, memoryview]]],
+        requests: Iterable[Tuple[int, _Payload]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
-        clock = self._active_clock()
+        clock = self.stage_clock or _NO_STAGES
         requests = list(requests)
         reports = [self._new_report() for _ in requests]
-        flat: List[Tuple[int, Chunk]] = []
-        if clock is None:
-            for index, (lba, payload) in enumerate(requests):
-                for chunk in self.chunker.split(lba, payload):
-                    flat.append((index, chunk))
-        else:
-            with clock.stage("chunk"):
-                for index, (lba, payload) in enumerate(requests):
-                    for chunk in self.chunker.split(lba, payload):
-                        flat.append((index, chunk))
+        flat, digests = _split_and_fingerprint(
+            self.chunker, self.fingerprinter, self.pool, clock,
+            requests, digests,
+        )
         if not flat:
             return reports
 
-        # Stage 1 (parallel): fingerprint every chunk.
-        if digests is None:
-            views = [chunk.data for _, chunk in flat]
-            if clock is None:
-                digests = self.fingerprinter.digest_many(views, pool=self.pool)
-            else:
-                with clock.stage("hash"):
-                    digests = self.fingerprinter.digest_many(views, pool=self.pool)
-        else:
-            digests = list(digests)
-            if len(digests) != len(flat):
-                raise ValueError(
-                    f"got {len(digests)} digests for {len(flat)} chunks"
-                )
-
-        # Stage 1.5 (serial, batched-resolve mode): resolve the whole
-        # batch against the table in one home-sorted, digest-deduped
-        # probe pass.  The serial walk then consults the result plus an
-        # override map of its own intra-batch mutations instead of
-        # issuing one table lookup per chunk.
+        # Batched resolve answers for table state at batch start; the
+        # walk merges in its own mutations through the override map.
         resolved: Optional[List[Optional[int]]] = None
         if self.batched_resolve:
-            if clock is None:
-                resolved = self.table.lookup_many(digests)
-            else:
-                with clock.stage("lookup"):
-                    resolved = self.table.lookup_many(digests)
-
-        # Stage 2 (serial): plan which chunks the serial walk will find
-        # unique — a pure shadow simulation, no engine state is touched.
-        # With a serial pool there is nothing to fan out, so the plan is
-        # skipped entirely and stage 4 compresses inline (identical
-        # bytes, one less walk per batch); a stage clock keeps the full
-        # decomposition so repro.perf can attribute the compress stage.
-        planned = clock is not None or self.pool.is_parallel
-        plan = (
-            self._plan_batch([chunk for _, chunk in flat], digests)
-            if planned
-            else []
-        )
-
-        # Stage 3 (parallel): compress exactly those chunks.  The
-        # compressor handles a process-backed pool itself (views must
-        # materialize before crossing the IPC boundary).
-        staged: Dict[int, CompressedChunk] = {}
-        if plan:
-            planned_views = [flat[position][1].data for position in plan]
-            if clock is None:
-                packed = self.compressor.compress_many(
-                    planned_views, pool=self.pool
-                )
-            else:
-                with clock.stage("compress"):
-                    packed = self.compressor.compress_many(
-                        planned_views, pool=self.pool
-                    )
-            staged = dict(zip(plan, packed))
-
-        # Stage 4 (serial): the unmodified per-chunk write path, with
-        # digest and compression injected.  Per-request sealed-container
-        # deltas mirror what per-request write() calls would report.
-        current = -1
-        sealed_before = self.containers.sealed_count
-        if resolved is not None:
-            self._batch_overrides = {}
-        try:
-            for position, ((index, chunk), digest) in enumerate(
-                zip(flat, digests)
-            ):
-                if index != current:
-                    if current >= 0:
-                        reports[current].containers_sealed = (
-                            self.containers.sealed_count - sealed_before
-                        )
-                    current = index
-                    sealed_before = self.containers.sealed_count
-                precompressed = staged.pop(position, None)
-                outcome = self._write_chunk(
-                    chunk, reports[index],
-                    digest=digest, precompressed=precompressed,
-                    resolved=(
-                        resolved[position] if resolved is not None else _UNSET
-                    ),
-                )
-                reports[index].add(outcome)
-                if outcome.duplicate:
-                    if precompressed is not None:
-                        self.plan_wasted_compressions += 1
-                elif precompressed is None and planned:
-                    # Only a computed plan that *missed* a unique counts
-                    # as a fallback; the serial fast path compresses
-                    # inline by design.
-                    self.plan_fallback_compressions += 1
-        finally:
-            self._batch_overrides = None
-        reports[current].containers_sealed = (
-            self.containers.sealed_count - sealed_before
-        )
-        return reports
-
-    def _plan_batch(  # repro-lint: holds self.lock
-        self, chunks: Sequence[Chunk], digests: Sequence[bytes]
-    ) -> List[int]:
-        """Positions of the chunks the serial walk will compress.
-
-        Replays the write path's metadata effects against *shadow*
-        state: batch-local uniques, reference-count deltas on
-        pre-existing PBNs, retired fingerprints and remapped LBAs are
-        all tracked on the side, so a chunk's classification accounts
-        for every earlier chunk in the batch — duplicates of a unique
-        planned two positions back, fingerprints retired by an
-        overwrite in between, same-LBA rewrites — without touching the
-        table cache (presence probes resolve through
-        :meth:`~repro.datared.lba_map.PbnMap.find_by_fingerprint`).
-        """
-        plan: List[int] = []
-        planned: Dict[bytes, Dict[str, Any]] = {}  # digest -> live batch-unique token
-        retired: Set[bytes] = set()  # fingerprints the walk removes from the table
-        ref_delta: Dict[int, int] = {}  # pre-existing pbn -> refcount delta
-        dead: Set[int] = set()  # pre-existing pbns fully released
-        shadow_lba: Dict[int, Tuple[str, Any]] = {}
-
-        def release(ref: Tuple[str, Any]) -> None:
-            kind, target = ref
-            if kind == "new":
-                target["refs"] -= 1
-                if (
-                    target["refs"] == 0
-                    and planned.get(target["digest"]) is target
-                ):
-                    del planned[target["digest"]]
-            else:
-                ref_delta[target] = ref_delta.get(target, 0) - 1
-                record = self.pbn_map.get(target)
-                if record.refcount + ref_delta[target] == 0:
-                    dead.add(target)
-                    retired.add(record.fingerprint)
-
-        for position, (chunk, digest) in enumerate(zip(chunks, digests)):
-            token = planned.get(digest)
-            if token is not None:
-                hit: Optional[Tuple[str, Any]] = ("new", token)
-            else:
-                hit = None
-                if digest not in retired:
-                    pbn = self.pbn_map.find_by_fingerprint(digest)
-                    if pbn is not None and pbn not in dead:
-                        hit = ("pre", pbn)
-            if hit is None:
-                token = {"digest": digest, "refs": 1}
-                planned[digest] = token
-                plan.append(position)
-                hit = ("new", token)
-            elif hit[0] == "new":
-                hit[1]["refs"] += 1
-            else:
-                ref_delta[hit[1]] = ref_delta.get(hit[1], 0) + 1
-
-            old = shadow_lba.get(chunk.lba, _UNSET)
-            if old is _UNSET:
-                pre = self.lba_map.get(chunk.lba)
-                old = ("pre", pre) if pre is not None else None
-            shadow_lba[chunk.lba] = hit
-            if old is not None:
-                release(old)
-        return plan
-
-    def _write_chunk(  # repro-lint: holds self.lock, hot-path
-        self,
-        chunk: Chunk,
-        report: WriteReport,
-        digest: Optional[bytes] = None,
-        precompressed: Optional[CompressedChunk] = None,
-        resolved: Optional[int] = _UNSET,
-    ) -> ChunkOutcome:
-        clock = self._active_clock()
-        if digest is None:
-            digest = self.fingerprinter.digest(chunk.data)
-        if resolved is not _UNSET:
-            # Batched resolve: the batch lookup answered for table state
-            # at batch start; the override map carries every mutation
-            # the walk has made since, so the merged view is exactly
-            # what a per-chunk lookup would return now.
-            overrides = self._batch_overrides
-            if overrides is not None and digest in overrides:
-                existing_pbn = overrides[digest]
-            else:
-                existing_pbn = resolved
-        elif clock is None:
-            existing_pbn = self.table.lookup(digest)
-        else:
             with clock.stage("lookup"):
-                existing_pbn = self.table.lookup(digest)
-        self.stats.logical_bytes += len(chunk.data)
+                resolved = self.table.lookup_many(digests)
 
-        if existing_pbn is not None:
-            # Duplicate: bump the reference, remap the LBA, no data moves.
-            self.pbn_map.ref(existing_pbn)
-            self._remap(chunk.lba, existing_pbn, report)
-            self.stats.duplicate_chunks += 1
-            outcome = ChunkOutcome(
-                lba=chunk.lba,
-                pbn=existing_pbn,
-                duplicate=True,
-                logical_size=len(chunk.data),
-                stored_size=0,
-            )
-            return outcome
-
-        # Unique: compress, pack, allocate a PBN, publish metadata.
-        compressed = (
-            precompressed
-            if precompressed is not None
-            else self.compressor.compress(chunk.data)
-        )
-        # Materialize here — the container boundary takes the defensive
-        # copy of any view-backed payload (DESIGN.md §5.4).
-        if clock is None:
-            placement = self.containers.append(
-                compressed.materialize(), compressed.stored_size
-            )
-        else:
-            with clock.stage("pack"):
-                placement = self.containers.append(
-                    compressed.materialize(), compressed.stored_size
+        # Phase 2: the PBN map's fingerprint index touches no table-cache
+        # page, so predicting here leaves the walk's table accesses (and
+        # the ledgers calibrated on them) exactly as they were.
+        first: Dict[bytes, int] = {}
+        for position, digest in enumerate(digests):
+            first.setdefault(digest, position)
+        find = self.pbn_map.find_by_fingerprint
+        fresh = [
+            position for digest, position in first.items()
+            if find(digest) is None
+        ]
+        compressed: Dict[int, CompressedChunk] = {}
+        if fresh:
+            with clock.stage("compress"):
+                packed = self.compressor.compress_many(
+                    [flat[position][1].data for position in fresh],
+                    pool=self.pool,
                 )
-        if clock is None:
-            return self._publish_chunk(chunk, report, digest, compressed, placement)
+            compressed = dict(zip(fresh, packed))
+
+        # Phase 3: the serial walk.  Per-request sealed-container deltas
+        # are what one write() per request would report.
         with clock.stage("publish"):
-            return self._publish_chunk(chunk, report, digest, compressed, placement)
+            current = -1
+            sealed_before = self.containers.sealed_count
+            overrides: Dict[bytes, Optional[int]] = {}
+            if resolved is not None:
+                self._batch_overrides = overrides
+            try:
+                for position, ((index, chunk), digest) in enumerate(
+                    zip(flat, digests)
+                ):
+                    if index != current:
+                        if current >= 0:
+                            reports[current].containers_sealed = (
+                                self.containers.sealed_count - sealed_before
+                            )
+                        current = index
+                        sealed_before = self.containers.sealed_count
+                    if resolved is None:
+                        existing_pbn = self.table.lookup(digest)
+                    else:
+                        existing_pbn = overrides.get(digest, resolved[position])
+                    report = reports[index]
+                    self.stats.logical_bytes += len(chunk.data)
+                    if existing_pbn is not None:
+                        # Duplicate: bump the reference, remap the LBA,
+                        # no data moves.
+                        self.pbn_map.ref(existing_pbn)
+                        self._remap(chunk.lba, existing_pbn, report)
+                        self.stats.duplicate_chunks += 1
+                        report.add(ChunkOutcome(
+                            lba=chunk.lba,
+                            pbn=existing_pbn,
+                            duplicate=True,
+                            logical_size=len(chunk.data),
+                            stored_size=0,
+                        ))
+                        continue
+                    packed_chunk = compressed.pop(position, None)
+                    if packed_chunk is None:
+                        # Its content lost its last reference to an
+                        # earlier chunk of this batch.
+                        packed_chunk = self.compressor.compress(chunk.data)
+                    report.add(
+                        self._publish_chunk(chunk, report, digest, packed_chunk)
+                    )
+            finally:
+                self._batch_overrides = None
+            reports[current].containers_sealed = (
+                self.containers.sealed_count - sealed_before
+            )
+        return reports
 
     def _publish_chunk(  # repro-lint: holds self.lock, hot-path
         self,
@@ -909,9 +745,13 @@ class DedupEngine:
         report: WriteReport,
         digest: bytes,
         compressed: CompressedChunk,
-        placement: Placement,
     ) -> ChunkOutcome:
-        """Metadata publication for a freshly packed unique chunk."""
+        """Pack a unique chunk into the open container and publish it."""
+        # Materialize here — the container boundary takes the defensive
+        # copy of any view-backed payload (DESIGN.md §5.4).
+        placement = self.containers.append(
+            compressed.materialize(), compressed.stored_size
+        )
         pbn = self.allocator.allocate()
         self.pbn_map.add(
             pbn,
@@ -1002,10 +842,7 @@ class DedupEngine:
         if lba % self.chunker.blocks_per_chunk != 0:
             raise ValueError(f"LBA {lba} is not chunk-aligned")
         with self.lock:
-            clock = self._active_clock()
-            if clock is None:
-                return self._read_locked(lba, num_chunks)
-            with clock.stage("read"):
+            with (self.stage_clock or _NO_STAGES).stage("read"):
                 return self._read_locked(lba, num_chunks)
 
     def _read_locked(  # repro-lint: holds self.lock, hot-path

@@ -186,9 +186,9 @@ class PbnMap:
     :meth:`repoint`, so they can never drift):
 
     * fingerprint → PBN (:meth:`find_by_fingerprint`) — a read-only
-      mirror of the live Hash-PBN table content, used by the batched
-      write planner to classify chunks without touching the table
-      cache.
+      mirror of the live Hash-PBN table content, used by the write
+      path's compress phase to pick the chunks known unique at batch
+      start without touching the table cache.
     * ``(container_id, offset)`` → PBN (:meth:`pbn_at`) — used by
       garbage collection to repoint moved chunks without rescanning
       every record.

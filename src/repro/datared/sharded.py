@@ -52,7 +52,7 @@ from ..errors import ShardError, SnapshotError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..parallel import StagePool
 from ..sync import DisciplinedLock
-from .chunking import BLOCK_SIZE, Chunk, FixedChunker
+from .chunking import BLOCK_SIZE, FixedChunker
 from .compression import Compressor
 from .dedup import (
     DedupEngine,
@@ -63,13 +63,13 @@ from .dedup import (
     WriteOptions,
     WriteReport,
     _NO_OPTIONS,
+    _NO_STAGES,
+    _Payload,
+    _split_and_fingerprint,
 )
 from .hashing import Fingerprinter
 
 __all__ = ["ShardedDedupEngine", "shard_for_digest"]
-
-#: Payload type accepted by the write entry points (mirrors DedupEngine).
-_Payload = Union[bytes, bytearray, memoryview]
 
 
 def shard_for_digest(digest: bytes, num_shards: int) -> int:
@@ -205,12 +205,6 @@ class ShardedDedupEngine:
         for shard in self.shards:
             shard.stage_clock = clock
 
-    def _active_clock(self) -> Optional[StageTimer]:
-        clock = self._stage_clock
-        if clock is None or not getattr(clock, "active", True):
-            return None
-        return clock
-
     # -- stats -------------------------------------------------------------------
     @property
     def stats(self) -> ReductionStats:
@@ -267,12 +261,6 @@ class ShardedDedupEngine:
             snap.gc_containers_reclaimed
         )
         registry.gauge("engine.gc.bytes_moved").set(snap.gc_bytes_moved)
-        registry.gauge("engine.plan.fallback_compressions").set(
-            snap.plan_fallback_compressions
-        )
-        registry.gauge("engine.plan.wasted_compressions").set(
-            snap.plan_wasted_compressions
-        )
         registry.gauge("engine.containers_sealed").set(snap.containers_sealed)
         registry.gauge("index.filter.hits").set(snap.index_filter_hits)
         registry.gauge("index.filter.misses").set(snap.index_filter_misses)
@@ -355,44 +343,21 @@ class ShardedDedupEngine:
         requests: List[Tuple[int, _Payload]],
         digests: Optional[Sequence[bytes]],
     ) -> List[WriteReport]:
-        clock = self._active_clock()
         reports = [WriteReport() for _ in requests]
-        flat: List[Tuple[int, Chunk]] = []
-        if clock is None:
-            for index, (lba, payload) in enumerate(requests):
-                for chunk in self.chunker.split(lba, payload):
-                    flat.append((index, chunk))
-        else:
-            with clock.stage("chunk"):
-                for index, (lba, payload) in enumerate(requests):
-                    for chunk in self.chunker.split(lba, payload):
-                        flat.append((index, chunk))
+        # Phase 1 runs at the router, so one digest both routes the
+        # chunk and skips the shard's own hash phase.
+        flat, fingerprints = _split_and_fingerprint(
+            self.chunker, self.fingerprinter, self.pool,
+            self._stage_clock or _NO_STAGES, requests, digests,
+        )
         if not flat:
             return reports
 
-        # Stage 1 (parallel): the unchanged hash fan-out, now at the
-        # router so one digest both routes the chunk and skips the
-        # shard's own hash stage.
-        if digests is None:
-            views = [chunk.data for _, chunk in flat]
-            if clock is None:
-                digests = self.fingerprinter.digest_many(views, pool=self.pool)
-            else:
-                with clock.stage("hash"):
-                    digests = self.fingerprinter.digest_many(
-                        views, pool=self.pool
-                    )
-        else:
-            digests = list(digests)
-            if len(digests) != len(flat):
-                raise ValueError(
-                    f"got {len(digests)} digests for {len(flat)} chunks"
-                )
-
-        # Stage 2: partition by digest prefix, preserving flat order
-        # within each shard's sub-batch.
+        # Partition by digest prefix, preserving flat order within each
+        # shard's sub-batch.
         assignment = [
-            shard_for_digest(digest, self.num_shards) for digest in digests
+            shard_for_digest(digest, self.num_shards)
+            for digest in fingerprints
         ]
         per_shard: List[List[int]] = [[] for _ in range(self.num_shards)]
         for position, shard_index in enumerate(assignment):
@@ -403,13 +368,12 @@ class ShardedDedupEngine:
             if positions
         ]
 
-        # Stage 3 (parallel): per-shard resolve+publish.  Every chunk is
-        # its own single-chunk sub-request so the gather can rebuild
-        # per-request reports chunk by chunk.  Exceptions are captured
-        # per shard — never raised through the pool — so the scatter
-        # always runs to completion before the gather inspects it.
-        digest_list = list(digests)
-
+        # Per-shard compress + resolve/publish, shards in parallel.
+        # Every chunk is its own single-chunk sub-request so the gather
+        # can rebuild per-request reports chunk by chunk.  Exceptions
+        # are captured per shard — never raised through the pool — so
+        # the scatter always runs to completion before the gather
+        # inspects it.
         def scatter(
             item: Tuple[int, List[int]],
         ) -> Tuple[int, Union[List[WriteReport], BaseException]]:
@@ -419,7 +383,7 @@ class ShardedDedupEngine:
                 (flat[position][1].lba, flat[position][1].data)
                 for position in positions
             ]
-            sub_digests = [digest_list[position] for position in positions]
+            sub_digests = [fingerprints[position] for position in positions]
             try:
                 return shard_index, shard.write_many(
                     sub_requests, WriteOptions(digests=sub_digests)
@@ -440,7 +404,7 @@ class ShardedDedupEngine:
             for position, sub_report in zip(positions, result):
                 by_position[position] = sub_report
 
-        # Stage 4 (serial): gather in submission order.  Last writer of
+        # Gather (serial) in submission order.  Last writer of
         # an LBA owns it; every other shard that wrote it this batch —
         # plus its previous owner — gets a trim, and the reclaims credit
         # the owning request exactly as an in-shard overwrite would.
@@ -677,12 +641,6 @@ def _merge_snapshots(snaps: Sequence[EngineStats]) -> EngineStats:
             s.gc_containers_reclaimed for s in snaps
         ),
         gc_bytes_moved=sum(s.gc_bytes_moved for s in snaps),
-        plan_fallback_compressions=sum(
-            s.plan_fallback_compressions for s in snaps
-        ),
-        plan_wasted_compressions=sum(
-            s.plan_wasted_compressions for s in snaps
-        ),
         containers_sealed=sum(s.containers_sealed for s in snaps),
         index_filter_hits=sum(s.index_filter_hits for s in snaps),
         index_filter_misses=sum(s.index_filter_misses for s in snaps),

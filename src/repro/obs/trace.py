@@ -10,8 +10,8 @@ so percentiles survive long after the ring has wrapped.
 disabled path is one module-level dict lookup plus a shared no-op
 context manager — no allocation, no clock read, no lock (the
 ``obs_overhead`` gate in ``repro.perf`` holds this to ≤3% on the
-clocked write path, and the engine's ``stage_clock`` resolves to
-``None`` outright while a :class:`TracedStages` clock is inactive).
+clocked write path, where a :class:`TracedStages` clock opens one span
+per write phase per batch).
 Code therefore calls :func:`span` unconditionally; it never needs its
 own ``if`` around instrumentation.
 
@@ -300,10 +300,10 @@ class TracedStages:
     """A :class:`~repro.datared.dedup.StageTimer` publishing spans.
 
     Installed on ``DedupEngine.stage_clock`` by the system layer.  The
-    :attr:`active` property is the hook the engine's hot path checks:
-    while tracing is disabled the engine treats the clock as absent
-    (``None`` path — no context managers, no batch shadow-plan), so an
-    installed-but-inactive clock costs one attribute read per call.
+    engine opens one stage per write phase per batch and one per read;
+    while tracing is disabled each is the shared no-op span, so an
+    installed-but-inactive clock costs two dict lookups per stage.
+    :attr:`active` reports whether spans are currently recorded.
     """
 
     __slots__ = ("_prefix", "_names")

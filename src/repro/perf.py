@@ -10,11 +10,13 @@ stage     meaning
 ========  ==========================================================
 chunk     ``FixedChunker.split`` (zero-copy view slicing)
 hash      SHA-256 fingerprinting (``fingerprint_many``)
-lookup    Hash-PBN table probes for every chunk
-compress  DEFLATE of the chunks planned unique
-pack      container append (the materialization boundary)
-publish   PBN allocation + metadata/table/LBA-map publication
-other     everything unattributed (planner, reports, loop glue)
+lookup    the batched Hash-PBN resolve (``lookup_many``), when on
+compress  DEFLATE of the chunks known unique at batch start
+publish   the serial walk: per-chunk lookups when the resolve is not
+          batched, duplicate remaps, container append (the
+          materialization boundary), PBN allocation and
+          metadata/table/LBA-map publication
+other     everything unattributed (unique prediction, reports, glue)
 ========  ==========================================================
 
 Timings and allocations come from two separate passes over identical
@@ -357,7 +359,7 @@ def run_journal_bench(
     journaled = mb_s("journaled")
     checkpointed = mb_s("checkpointed")
     return {
-        "bench": "journal",
+        "benchmark": "journal-durability-tax",
         "meta": bench_meta(),
         "num_batches": num_batches,
         "chunks": num_batches * BATCH_CHUNKS,
@@ -416,7 +418,7 @@ def run_stage_bench(
 
     staged_ns = sum(best_clock.ns.values())
     stages: Dict[str, Any] = {}
-    for name in ("chunk", "hash", "lookup", "compress", "pack", "publish"):
+    for name in ("chunk", "hash", "lookup", "compress", "publish"):
         ns = best_clock.ns.get(name, 0)
         stages[name] = {
             "ns": ns,
@@ -535,7 +537,7 @@ def run_shard_bench(
     the denominator of each run's ``vs_unsharded`` ratio — CI gates
     ``shards=1`` at 0.9x of it, so the scatter-gather layer itself must
     stay near-free.  Per-shard ``resolve_publish_ns`` is the §5.7
-    parallel section (lookup + pack + publish on the shard thread).
+    parallel section (lookup + publish on the shard thread).
     """
     if not shard_counts:
         raise ValueError("need at least one shard count")
@@ -572,16 +574,14 @@ def run_shard_bench(
         per_shard: List[Dict[str, Any]] = []
         for index, clock in enumerate(shard_clocks):
             lookup = clock.ns.get("lookup", 0)
-            pack = clock.ns.get("pack", 0)
             publish = clock.ns.get("publish", 0)
             per_shard.append({
                 "shard": index,
                 "chunks": shard_chunks[index],
                 "lookup_ns": lookup,
                 "compress_ns": clock.ns.get("compress", 0),
-                "pack_ns": pack,
                 "publish_ns": publish,
-                "resolve_publish_ns": lookup + pack + publish,
+                "resolve_publish_ns": lookup + publish,
             })
         runs.append({
             "shards": count,

@@ -355,12 +355,12 @@ class ReductionSystem:
         """Run the functional dedup write for a batch, capturing what the
         table-cache stack did on its behalf.
 
-        The batch goes through the stage-split
+        The batch goes through
         :meth:`~repro.datared.dedup.DedupEngine.write_many`, so hashing
         and compression fan out on the shared pool while every
         table-cache access (and hence every ledger charge captured
-        here) happens on this thread, in chunk order, exactly as the
-        serial per-chunk path would issue it.
+        here) happens on this thread, in chunk order, in the engine's
+        serial publish walk.
 
         ``digests`` optionally carries per-chunk fingerprints already
         computed upstream (FIDR's NIC hashes on ingest); the engine then

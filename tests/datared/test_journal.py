@@ -13,7 +13,6 @@ from repro.datared.journal import (
     MetadataJournal,
     RecordKind,
     RecoveryImage,
-    recover_engine,
     recover_into,
     replay_journal,
 )
@@ -445,22 +444,6 @@ class TestCorruptionIsTyped:
         journal.commit()
         with pytest.raises(JournalCorruptError, match="existing snapshot"):
             self._replay(journal)
-
-
-class TestRecoverEngineShim:
-    def test_deprecated_but_works(self, rng):
-        engine, journal = journaled_engine()
-        data = rng.randbytes(CHUNK)
-        engine.write(0, data)
-        with pytest.warns(DeprecationWarning, match="build_engine"):
-            recovered, clean = recover_engine(
-                journal.to_bytes(),
-                copy.deepcopy(engine.containers),
-                ModeledCompressor(0.5),
-                num_buckets=1024,
-            )
-        assert clean
-        assert recovered.read(0, 1).data == data
 
 
 class TestFuzzRecovery:
